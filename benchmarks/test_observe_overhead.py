@@ -13,7 +13,7 @@ from benchmarks.conftest import print_block
 from repro.backend.codegen import generate_program
 from repro.benchsuite.programs import get_benchmark
 from repro.config import CompilerConfig
-from repro.core.allocator import allocate_program
+from repro.alloc import allocate_program
 from repro.frontend.analyze import check_scopes, mark_tail_calls
 from repro.frontend.assignconvert import assignment_convert
 from repro.frontend.closure import closure_convert

@@ -6,8 +6,8 @@ importable Python source file:
 
 * every code object becomes a top-level :class:`~repro.vm.aotrt.AotCode`
   (``K0``, ``K1``, ...) carrying the runtime slice of the
-  ``CodeObject`` — name, arity, frame size, the classifier's static
-  flags;
+  ``CodeObject`` under the same attribute names — name, parameter
+  names, frame size, the classifier's static flags;
 * every trace becomes a top-level function (``_t<code>_<pc>``), spliced
   verbatim from :func:`repro.vm.blockcompile.build_trace_module` with
   one shared const pool across all code objects;
@@ -189,7 +189,7 @@ def emit_module_info(
     for i, code in enumerate(codes):
         w(
             f"K{i} = AotCode({code.name!r}, {code.label!r}, "
-            f"{len(code.params)}, {code.frame_size}, "
+            f"{tuple(str(p.name) for p in code.params)!r}, {code.frame_size}, "
             f"{code.syntactic_leaf!r}, {code.always_calls!r})"
         )
     w("")
@@ -209,7 +209,7 @@ def emit_module_info(
     call_sites = 0
     direct_calls = 0
     for i, (code, tm) in enumerate(zip(codes, modules)):
-        w(f"K{i}.blocks = {{")
+        w(f"K{i}.fast_blocks = {{")
         for start, fn_name, exits in sorted(tm.records):
             spelled = []
             for j, ex in enumerate(exits):

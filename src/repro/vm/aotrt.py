@@ -13,24 +13,20 @@ here and not in :mod:`repro.vm.machine`:
   :class:`VMError` are defined here and re-exported by ``machine`` (its
   import path stays the public one);
 * the stack-release policy constants (:data:`STACK_SHRINK_TRIGGER`
-  etc.) are defined here and shared by both trampolines, so the legacy
-  loop, the fast loop, and AOT execution stay observationally
-  indistinguishable;
-* the exit-kind and counter-accumulator constants mirror
-  ``repro.vm.blockcompile`` (which cannot be imported from here — it
-  would drag the compiler in); ``tests/vm/test_aot.py`` asserts the
-  two sets agree.
+  etc.) and the trace protocol — exit kinds (``K_*``) and
+  counter-accumulator slots (``ACC_*``) — are defined here once;
+  ``machine`` and ``repro.vm.blockcompile`` import them.
 
-:func:`run_program` is the AOT trampoline: byte-for-byte the fast
-loop's control-transfer semantics (``Machine._run_fast``), minus the
-lazy block compilation (blocks are prebuilt at import time) and the
-profiler hook (AOT runs are unprofiled), plus two extra exit kinds the
-emitter produces when ``vm/callgraph.py`` proves a call site's callee
-statically: :data:`K_CALL_DIRECT` and :data:`K_TAIL_DIRECT` skip the
-closure type test and arity check because the emitter already
-performed them at build time.  Counters, cycles, values, and output
-are bit-identical to both interpreted loops; the AOT equivalence suite
-asserts that over the benchsuite and a fuzz corpus.
+:func:`trampoline` is the one trace trampoline: the in-process fast
+loop (``Machine``) and emitted modules (:func:`run_program`) both run
+through it, with byte-for-byte the legacy loop's control-transfer
+semantics.  Its two hooks, a lazy block-build callable and an optional
+profiler, are used only in-process.  Emitted modules add two exit
+kinds where ``vm/callgraph.py`` proves a call site's callee:
+:data:`K_CALL_DIRECT` and :data:`K_TAIL_DIRECT` skip the closure type
+test and arity check, which the emitter performed at build time.
+Counters, cycles, values, and output are bit-identical to the legacy
+loop; the AOT equivalence suite asserts that.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.runtime.values import OutputPort, SchemeError
 from repro.vm.callgraph import ActivationClassifier
@@ -55,8 +51,9 @@ STACK_SHRINK_TRIGGER = 8192
 STACK_MIN_CAPACITY = 4096
 STACK_HEADROOM = 256
 
-# Exit kinds, mirroring repro.vm.blockcompile (K_FALL..K_HALT) plus the
-# two AOT-only direct-call kinds the emitter produces.
+# Exit kinds: how the trampoline continues after a trace returns.  The
+# two direct kinds exist only in emitted modules, where the emitter
+# proved the callee statically.
 K_FALL = 0      # continue at `arg` (fallthrough, jump, or taken branch)
 K_CALL = 1      # non-tail call: `arg` is (argc, return_pc)
 K_TAIL = 2      # tail call: `arg` is argc
@@ -66,7 +63,10 @@ K_HALT = 5      # program end
 K_CALL_DIRECT = 6   # proven call: `arg` is (AotCode, return_pc)
 K_TAIL_DIRECT = 7   # proven tail call: `arg` is AotCode
 
-# Counter-accumulator slots, mirroring repro.vm.blockcompile.
+# Accumulator slots shared between exit `counts` tuples and the
+# trampoline's 20-element `acc` list.  0-8 are scalar counters, 9-13
+# stack reads by kind, 14-18 stack writes by kind (kind order is
+# repro.vm.predecode.KIND_NAMES), 19 permutation instructions.
 ACC_PRIM = 0
 ACC_MOV = 1
 ACC_BRANCH = 2
@@ -136,105 +136,74 @@ class VMError(Exception):
 
 class AotCode:
     """A procedure in an emitted module: the runtime slice of a
-    ``CodeObject`` (name for error messages, arity, frame size, the
-    classifier's two static flags) plus its prebuilt trace table.
-    ``blocks`` maps trace-leader pc -> ``(fn, exits)`` exactly like a
-    code object's ``fast_blocks`` list, but as a dict (emitted modules
-    only spell the leaders)."""
+    ``CodeObject`` (name for error messages, parameter names, frame
+    size, the classifier's two static flags) plus its prebuilt trace
+    table.  Attribute names match ``CodeObject`` so the trampoline reads
+    either; ``fast_blocks`` maps trace-leader pc -> ``(fn, exits)``
+    like a code object's list, but as a dict (emitted modules only
+    spell the leaders)."""
 
     __slots__ = (
-        "name", "label", "nparams", "frame_size",
-        "syntactic_leaf", "always_calls", "blocks",
+        "name", "label", "params", "frame_size",
+        "syntactic_leaf", "always_calls", "fast_blocks",
     )
 
     def __init__(
         self,
         name: str,
         label: str,
-        nparams: int,
+        params: Tuple[str, ...],
         frame_size: int,
         syntactic_leaf: bool,
         always_calls: bool,
     ) -> None:
         self.name = name
         self.label = label
-        self.nparams = nparams
+        self.params = params
         self.frame_size = frame_size
         self.syntactic_leaf = syntactic_leaf
         self.always_calls = always_calls
-        self.blocks: Dict[int, Tuple[Any, Any]] = {}
+        self.fast_blocks: Dict[int, Tuple[Any, Any]] = {}
 
     def __repr__(self) -> str:
         return f"<AotCode {self.label}>"
 
 
-class AotProgram:
-    """The whole emitted program: entry point, register-file geometry,
-    cost-model scalars, and provenance (source cache key, config
-    fingerprint, emitter version) — everything :func:`run_program`
-    needs, baked at build time."""
+class AotProgram(NamedTuple):
+    """The whole program as the trampoline sees it: entry point,
+    register-file geometry, cost-model scalars, and (for emitted
+    modules) provenance — source cache key, config fingerprint,
+    emitter version.  Emitted modules bake one at build time over
+    :class:`AotCode`s; ``Machine`` builds one over ``CodeObject``s."""
 
-    __slots__ = (
-        "entry", "codes", "nregs", "a0", "ret", "cp", "rv",
-        "call_overhead", "predict", "penalty", "kind_names",
-        "direct_calls", "call_sites", "source_key", "fingerprint",
-        "version",
-    )
-
-    def __init__(
-        self,
-        entry: AotCode,
-        codes: Tuple[AotCode, ...],
-        nregs: int,
-        a0: Optional[int],
-        ret: int,
-        cp: int,
-        rv: int,
-        call_overhead: int,
-        predict: bool,
-        penalty: int,
-        kind_names: Tuple[str, ...],
-        direct_calls: int = 0,
-        call_sites: int = 0,
-        source_key: str = "",
-        fingerprint: str = "",
-        version: str = "",
-    ) -> None:
-        self.entry = entry
-        self.codes = codes
-        self.nregs = nregs
-        self.a0 = a0
-        self.ret = ret
-        self.cp = cp
-        self.rv = rv
-        self.call_overhead = call_overhead
-        self.predict = predict
-        self.penalty = penalty
-        self.kind_names = kind_names
-        self.direct_calls = direct_calls
-        self.call_sites = call_sites
-        self.source_key = source_key
-        self.fingerprint = fingerprint
-        self.version = version
+    entry: Any
+    codes: Tuple[Any, ...]
+    nregs: int
+    a0: Optional[int]
+    ret: int
+    cp: int
+    rv: int
+    call_overhead: int
+    predict: bool
+    penalty: int
+    kind_names: Tuple[str, ...]
+    direct_calls: int = 0
+    call_sites: int = 0
+    source_key: str = ""
+    fingerprint: str = ""
+    version: str = ""
 
 
-class AotResult:
+class AotResult(NamedTuple):
     """What one AOT run produced (the runtime analogue of
     ``repro.pipeline.ExecutionResult``)."""
 
-    __slots__ = (
-        "value", "output", "counters", "classifier",
-        "stack_capacity", "stack_shrinks",
-    )
-
-    def __init__(self, value, output, counters, classifier,
-                 stack_capacity, stack_shrinks) -> None:
-        self.value = value
-        self.output = output
-        self.counters = counters
-        self.classifier = classifier
-        self.stack_capacity = stack_capacity
-        self.stack_shrinks = stack_shrinks
+    value: Any
+    output: str
+    counters: Counters
+    classifier: ActivationClassifier
+    stack_capacity: int
+    stack_shrinks: int
 
 
 def datum(text: str) -> Any:
@@ -250,24 +219,69 @@ def datum(text: str) -> Any:
 # The trampoline.
 
 
-def run_program(
-    program: AotProgram, max_instructions: Optional[int] = None
-) -> AotResult:
-    """Execute an emitted program; same observable semantics as
-    ``Machine._run_fast`` (which see), with direct-call exits taking
-    the proven path.  The instruction budget is checked per trace,
-    exactly like the fast loop."""
+#: Counters fields of the scalar accumulator slots.
+_SCALAR_SLOTS = (
+    (ACC_PRIM, "prim_calls"),
+    (ACC_MOV, "moves"),
+    (ACC_BRANCH, "branches"),
+    (ACC_MISS, "mispredicts"),
+    (ACC_CALL, "calls"),
+    (ACC_TAIL, "tail_calls"),
+    (ACC_CLO, "closure_allocs"),
+    (ACC_CC_CAP, "continuations_captured"),
+    (ACC_CC_INV, "continuations_invoked"),
+    (ACC_SWAP, "swaps"),
+)
+
+
+def flush_counters(acc: List[int], counters: Counters,
+                   kind_names: Tuple[str, ...]) -> None:
+    """Empty the trampoline's accumulator array into *counters* (and
+    zero it).  Called wherever the counters become observable: before
+    every profiler switch/resume, so per-procedure profiles conserve,
+    and once at the end of the run."""
+    for slot, field in _SCALAR_SLOTS:
+        n = acc[slot]
+        if n:
+            setattr(counters, field, getattr(counters, field) + n)
+            acc[slot] = 0
+    for base, by_kind in ((ACC_READS, counters.stack_reads),
+                          (ACC_WRITES, counters.stack_writes)):
+        for i, kind_name in enumerate(kind_names):
+            n = acc[base + i]
+            if n:
+                by_kind[kind_name] = by_kind.get(kind_name, 0) + n
+                acc[base + i] = 0
+
+
+def trampoline(
+    program: AotProgram,
+    counters: Counters,
+    classifier: ActivationClassifier,
+    port: OutputPort,
+    max_instructions: Optional[int] = None,
+    build: Optional[Callable[[Any], Any]] = None,
+    prof: Optional[Any] = None,
+) -> Tuple[Any, int, int]:
+    """Execute *program*'s traces; returns ``(value, stack_capacity,
+    stack_shrinks)``.  One indexed fetch and one trace call per
+    iteration, then the exit's counter deltas and control transfer; the
+    instruction budget is checked per trace.  *build* compiles a code
+    object's block table on first entry (``fast_blocks is None``);
+    *prof* is an optional ``VMProfiler``, told of every procedure
+    switch after the counters are flushed.  Both hooks serve only the
+    in-process fast loop: the direct exit kinds, which only emitted
+    modules produce, neither build nor profile.
+    """
     call_overhead = program.call_overhead
     predict = program.predict
     penalty = program.penalty
-    counters = Counters()
-    classifier = ActivationClassifier()
-    port = OutputPort()
     a0 = program.a0
     RET = program.ret
     CP = program.cp
     RV = program.rv
     kind_names = program.kind_names
+    ARG_WRITE_SLOT = ACC_WRITES + kind_names.index("arg")
     shrink_trigger = STACK_SHRINK_TRIGGER
     min_capacity = STACK_MIN_CAPACITY
     headroom = STACK_HEADROOM
@@ -282,17 +296,23 @@ def run_program(
     if budget is None:
         budget = 1 << 62
 
-    # Counter accumulators, one slot per ACC_* index.  AOT runs are
-    # unprofiled, so a single flush at the end conserves totals.
+    # Counter accumulators, one slot per ACC_* index.  Exits carry
+    # static (slot, delta) pairs; flush_counters empties the array into
+    # `counters` exactly where the profiler (or the caller) can observe
+    # them, so conservation holds.
     acc = [0] * ACC_SIZE
 
     code = program.entry
     frame_size = code.frame_size
-    blocks = code.blocks
+    blocks = code.fast_blocks
+    if blocks is None:
+        blocks = build(code)
     pc = 0
     sp = 0
     result: Any = None
     classifier.on_call(code)
+    if prof is not None:
+        prof.start(code)
 
     limit = frame_size + 64
     if limit >= len(stack):
@@ -311,47 +331,23 @@ def run_program(
         if taken:
             if predict:
                 # Static prediction: fall-through (not-taken) is the
-                # predicted path.
+                # predicted path; the allocator lays the likely
+                # (call-free) branch on the fall-through.
                 acc[3] += 1
                 cycle += penalty
 
+        # Kinds are tested in order of dynamic frequency on the
+        # interpreted path, which never produces the direct kinds.
         if kind == K_FALL:
             pc = barg
-        elif kind == K_CALL_DIRECT:
-            # Emitter-proven call: the callee closure's code and arity
-            # were checked at build time, so no dynamic dispatch.
-            cycle += call_overhead
-            target, ret_pc = barg
-            regs[RET] = (code, ret_pc)
-            new_sp = sp + frame_size
-            limit = new_sp + target.frame_size + 64
-            if limit >= len(stack):
-                stack.extend([None] * (limit - len(stack) + 256))
-            sp = new_sp
-            classifier.on_call(target)
-            code = target
-            frame_size = target.frame_size
-            blocks = target.blocks
-            pc = 0
-        elif kind == K_TAIL_DIRECT:
-            cycle += call_overhead
-            target = barg
-            limit = sp + target.frame_size + 64
-            if limit >= len(stack):
-                stack.extend([None] * (limit - len(stack) + 256))
-            classifier.on_tail_call(target)
-            code = target
-            frame_size = target.frame_size
-            blocks = target.blocks
-            pc = 0
         elif kind == K_CALL:
             cycle += call_overhead
             callee = regs[CP]
             if type(callee) is VMClosure:
                 target = callee.code
-                if target.nparams != barg[0]:
+                if len(target.params) != barg[0]:
                     raise SchemeError(
-                        f"{target.name}: expected {target.nparams} "
+                        f"{target.name}: expected {len(target.params)} "
                         f"argument(s), got {barg[0]}"
                     )
                 regs[RET] = (code, barg[1])
@@ -361,9 +357,14 @@ def run_program(
                     stack.extend([None] * (limit - len(stack) + 256))
                 sp = new_sp
                 classifier.on_call(target)
+                if prof is not None:
+                    flush_counters(acc, counters, kind_names)
+                    prof.switch(target, cycle, executed)
                 code = target
                 frame_size = target.frame_size
-                blocks = target.blocks
+                blocks = target.fast_blocks
+                if blocks is None:
+                    blocks = build(target)
                 pc = 0
             elif type(callee) is VMContinuation:
                 if barg[0] != 1:
@@ -379,9 +380,14 @@ def run_program(
                 sp = callee.sp
                 regs[RV] = value
                 ready[RV] = cycle
+                if prof is not None:
+                    flush_counters(acc, counters, kind_names)
+                    prof.resume(callee.code, cycle, executed)
                 code = callee.code
                 frame_size = code.frame_size
-                blocks = code.blocks
+                blocks = code.fast_blocks
+                if blocks is None:
+                    blocks = build(code)
                 pc = callee.pc
             else:
                 raise SchemeError("attempt to apply a non-procedure", callee)
@@ -396,34 +402,45 @@ def run_program(
             sp -= ret_code.frame_size
             if len(stack) > shrink_trigger and old_sp < len(stack) >> 2:
                 # Low-water mark: the live prefix ends at old_sp (the
-                # returning frame's base); everything above is dead.
+                # returning frame's base); everything above is dead, so
+                # release the oversized tail.
                 new_len = old_sp + headroom
                 if new_len < min_capacity:
                     new_len = min_capacity
                 del stack[new_len:]
                 shrinks += 1
             classifier.on_return()
+            if prof is not None:
+                flush_counters(acc, counters, kind_names)
+                prof.resume(ret_code, cycle, executed)
             code = ret_code
             frame_size = ret_code.frame_size
-            blocks = ret_code.blocks
+            blocks = ret_code.fast_blocks
+            if blocks is None:
+                blocks = build(ret_code)
             pc = ret_pc
         elif kind == K_TAIL:
             cycle += call_overhead
             callee = regs[CP]
             if type(callee) is VMClosure:
                 target = callee.code
-                if target.nparams != barg:
+                if len(target.params) != barg:
                     raise SchemeError(
-                        f"{target.name}: expected {target.nparams} "
+                        f"{target.name}: expected {len(target.params)} "
                         f"argument(s), got {barg}"
                     )
                 limit = sp + target.frame_size + 64
                 if limit >= len(stack):
                     stack.extend([None] * (limit - len(stack) + 256))
                 classifier.on_tail_call(target)
+                if prof is not None:
+                    flush_counters(acc, counters, kind_names)
+                    prof.switch(target, cycle, executed)
                 code = target
                 frame_size = target.frame_size
-                blocks = target.blocks
+                blocks = target.fast_blocks
+                if blocks is None:
+                    blocks = build(target)
                 pc = 0
             elif type(callee) is VMContinuation:
                 if barg != 1:
@@ -439,9 +456,14 @@ def run_program(
                 sp = callee.sp
                 regs[RV] = value
                 ready[RV] = cycle
+                if prof is not None:
+                    flush_counters(acc, counters, kind_names)
+                    prof.resume(callee.code, cycle, executed)
                 code = callee.code
                 frame_size = code.frame_size
-                blocks = code.blocks
+                blocks = code.fast_blocks
+                if blocks is None:
+                    blocks = build(code)
                 pc = callee.pc
             else:
                 raise SchemeError("attempt to apply a non-procedure", callee)
@@ -451,7 +473,7 @@ def run_program(
             if not (type(callee) is VMClosure):
                 raise SchemeError("call/cc: not a procedure", callee)
             target = callee.code
-            if target.nparams != 1:
+            if len(target.params) != 1:
                 raise SchemeError(
                     f"call/cc receiver {target.name} must take 1 argument"
                 )
@@ -468,52 +490,71 @@ def run_program(
                 ready[a0] = cycle
             else:
                 stack[new_sp] = k
-                acc[ACC_WRITES + kind_names.index("arg")] += 1
+                acc[ARG_WRITE_SLOT] += 1
+            sp = new_sp
+            classifier.on_call(target)
+            if prof is not None:
+                flush_counters(acc, counters, kind_names)
+                prof.switch(target, cycle, executed)
+            code = target
+            frame_size = target.frame_size
+            blocks = target.fast_blocks
+            if blocks is None:
+                blocks = build(target)
+            pc = 0
+        elif kind == K_CALL_DIRECT:
+            # Emitter-proven call: the callee's code and arity were
+            # checked at build time, so no dynamic dispatch.
+            cycle += call_overhead
+            target, ret_pc = barg
+            regs[RET] = (code, ret_pc)
+            new_sp = sp + frame_size
+            limit = new_sp + target.frame_size + 64
+            if limit >= len(stack):
+                stack.extend([None] * (limit - len(stack) + 256))
             sp = new_sp
             classifier.on_call(target)
             code = target
             frame_size = target.frame_size
-            blocks = target.blocks
+            blocks = target.fast_blocks
+            pc = 0
+        elif kind == K_TAIL_DIRECT:
+            cycle += call_overhead
+            target = barg
+            limit = sp + target.frame_size + 64
+            if limit >= len(stack):
+                stack.extend([None] * (limit - len(stack) + 256))
+            classifier.on_tail_call(target)
+            code = target
+            frame_size = target.frame_size
+            blocks = target.fast_blocks
             pc = 0
         else:  # K_HALT
             result = regs[RV]
             classifier.finish()
             break
 
-    # Flush the accumulators (identical slot layout to the fast loop).
-    if acc[0]:
-        counters.prim_calls += acc[0]
-    if acc[1]:
-        counters.moves += acc[1]
-    if acc[2]:
-        counters.branches += acc[2]
-    if acc[3]:
-        counters.mispredicts += acc[3]
-    if acc[4]:
-        counters.calls += acc[4]
-    if acc[5]:
-        counters.tail_calls += acc[5]
-    if acc[6]:
-        counters.closure_allocs += acc[6]
-    if acc[7]:
-        counters.continuations_captured += acc[7]
-    if acc[8]:
-        counters.continuations_invoked += acc[8]
-    if acc[ACC_SWAP]:
-        counters.swaps += acc[ACC_SWAP]
-    reads = counters.stack_reads
-    writes = counters.stack_writes
-    for i, kind_name in enumerate(kind_names):
-        n = acc[ACC_READS + i]
-        if n:
-            reads[kind_name] = reads.get(kind_name, 0) + n
-        n = acc[ACC_WRITES + i]
-        if n:
-            writes[kind_name] = writes.get(kind_name, 0) + n
+    flush_counters(acc, counters, kind_names)
     counters.instructions = executed
     counters.cycles = cycle
+    if prof is not None:
+        prof.finish(cycle, executed)
+    return result, len(stack), shrinks
+
+
+def run_program(
+    program: AotProgram, max_instructions: Optional[int] = None
+) -> AotResult:
+    """Execute an emitted program through :func:`trampoline` (unprofiled,
+    every block table prebuilt)."""
+    counters = Counters()
+    classifier = ActivationClassifier()
+    port = OutputPort()
+    result, capacity, shrinks = trampoline(
+        program, counters, classifier, port, max_instructions
+    )
     return AotResult(
-        result, port.contents(), counters, classifier, len(stack), shrinks
+        result, port.contents(), counters, classifier, capacity, shrinks
     )
 
 

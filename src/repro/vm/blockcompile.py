@@ -39,7 +39,8 @@ instead of one bump per instruction.  Only branch mispredicts and
 continuation invokes are dynamic, and both are accounted by the
 trampoline (a taken-branch exit carries a flag).
 
-The trampoline (``Machine._run_fast``) executes a program as::
+The trampoline (:func:`repro.vm.aotrt.trampoline`, shared by the
+in-process fast loop and AOT-emitted modules) executes a program as::
 
     fn, exits = blocks[pc]                      # one indexed fetch
     cycle, ex = fn(regs, ready, stack, sp, cycle, port)
@@ -77,6 +78,24 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.primitives import PRIMITIVES
 from repro.sexp.datum import NIL, Pair, UNSPECIFIED
+from repro.vm.aotrt import (  # the trace protocol: exit kinds, acc slots
+    ACC_BRANCH,
+    ACC_CALL,
+    ACC_CC_CAP,
+    ACC_CLO,
+    ACC_MOV,
+    ACC_PRIM,
+    ACC_READS,
+    ACC_SWAP,
+    ACC_TAIL,
+    ACC_WRITES,
+    K_CALL,
+    K_CALLCC,
+    K_FALL,
+    K_HALT,
+    K_RET,
+    K_TAIL,
+)
 from repro.vm.predecode import (
     OP_BRF,
     OP_BRT,
@@ -111,34 +130,6 @@ from repro.vm.predecode import (
     OP_TAILCALL,
     predecode_code,
 )
-
-# ---------------------------------------------------------------------------
-# Exit classes: how the trampoline continues after a trace returns.
-
-K_FALL = 0    # continue at `arg` (fallthrough, jump, or taken branch)
-K_CALL = 1    # non-tail call: `arg` is (argc, return_pc)
-K_TAIL = 2    # tail call: `arg` is argc
-K_CALLCC = 3  # continuation capture: `arg` is return_pc
-K_RET = 4     # procedure return
-K_HALT = 5    # program end
-
-# Accumulator slots shared between exit `counts` tuples and the
-# trampoline's 20-element `acc` list.  0-8 are scalar counters, 9-13
-# stack reads by kind, 14-18 stack writes by kind (kind order is
-# repro.vm.predecode.KIND_NAMES), 19 permutation instructions.
-ACC_PRIM = 0
-ACC_MOV = 1
-ACC_BRANCH = 2
-ACC_MISS = 3
-ACC_CALL = 4
-ACC_TAIL = 5
-ACC_CLO = 6
-ACC_CC_CAP = 7
-ACC_CC_INV = 8
-ACC_READS = 9
-ACC_WRITES = 14
-ACC_SWAP = 19
-ACC_SIZE = 20
 
 #: Soft cap on instructions inlined per trace.  Once exceeded, the
 #: trace ends at the next natural boundary (leader, branch, or jump)

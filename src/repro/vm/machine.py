@@ -14,23 +14,19 @@ Two dispatch loops execute the same semantics:
   symbolic instruction lists.  It is the reference implementation, the
   only loop with the poison-checking ``debug`` mode, and the baseline
   the fast path's speedup is measured against.
-* ``_run_fast`` — the **fast loop** (``CompilerConfig.vm_fast``, the
-  default): a block trampoline over the code compiled by
-  ``repro.vm.blockcompile`` from the pre-decoded, superinstruction-
-  fused stream (``repro.vm.predecode``).  Each basic block is one
-  generated straight-line Python function; the trampoline performs one
-  indexed fetch and one call per block, applies the block's static
-  counter deltas, and handles every control transfer (calls, returns,
-  branches, ``call/cc``) with byte-for-byte the legacy loop's
-  semantics.  Counter deltas accumulate in a local array (flushed
-  exactly at procedure transitions, so per-procedure profiles still
-  conserve).  Counters, cycles, values, output and profiles are
-  bit-identical to the legacy loop; ``tests/vm/test_predecode_equiv``
-  and the fuzz oracle's ``vm-fast`` invariant enforce that.  On an
-  error the fast loop's counters may lag the exact crash point by the
-  instructions since the last flush (the legacy loop's are live), and
-  the instruction budget is checked per block rather than per
-  instruction; no counter or output is compared on error paths.
+* the **fast loop** (``CompilerConfig.vm_fast``, the default): the
+  shared trace trampoline :func:`repro.vm.aotrt.trampoline` (also run
+  by AOT-emitted modules) over traces that ``repro.vm.blockcompile``
+  compiles from the pre-decoded, superinstruction-fused stream
+  (``repro.vm.predecode``), one straight-line Python function per
+  extended basic block, built on first entry.  Counters, cycles,
+  values, output and profiles are bit-identical to the legacy loop;
+  ``tests/vm/test_predecode_equiv`` and the fuzz oracle's ``vm-fast``
+  invariant enforce that.  On an error the fast loop's counters may
+  lag the exact crash point by the instructions since the last flush
+  (the legacy loop's are live), and the instruction budget is checked
+  per trace rather than per instruction; no counter or output is
+  compared on error paths.
 
 Both loops release oversized stacks: a deep-recursion phase can grow
 the stack list to hundreds of thousands of slots, and before this fix
@@ -60,25 +56,16 @@ from repro.vm.aotrt import (  # noqa: F401 - re-exported public API
     STACK_HEADROOM,
     STACK_MIN_CAPACITY,
     STACK_SHRINK_TRIGGER,
+    AotProgram,
     VMClosure,
     VMContinuation,
     VMError,
+    trampoline,
 )
-from repro.vm.blockcompile import (
-    ACC_READS,
-    ACC_SIZE,
-    ACC_SWAP,
-    ACC_WRITES,
-    K_CALL,
-    K_CALLCC,
-    K_FALL,
-    K_RET,
-    K_TAIL,
-    compile_blocks,
-)
+from repro.vm.blockcompile import compile_blocks
 from repro.vm.callgraph import ActivationClassifier
 from repro.vm.counters import Counters
-from repro.vm.predecode import KIND_INDEX, KIND_NAMES
+from repro.vm.predecode import KIND_NAMES
 
 
 class Machine:
@@ -123,15 +110,26 @@ class Machine:
 
     def run(self) -> Any:
         try:
-            if self.vm_fast:
-                return self._run_fast()
-            return self._run()
+            if not self.vm_fast:
+                return self._run()
+            cm = self.config.cost_model
+            cp = self.regfile.cp.index
+            self.result, self.stack_capacity, self.stack_shrinks = trampoline(
+                self._program(),
+                self.counters,
+                self.classifier,
+                self.port,
+                self.max_instructions,
+                build=lambda code: compile_blocks(code, cm, cp),
+                prof=self.profiler,
+            )
+            return self.result
         except SchemeError as exc:
             # Annotate with the procedure that was executing (read from
-            # the interpreter loop's frame — zero cost on the hot path).
+            # the dispatch loop's frame — zero cost on the hot path).
             tb = exc.__traceback__
             while tb is not None:
-                if tb.tb_frame.f_code.co_name in ("_run", "_run_fast"):
+                if tb.tb_frame.f_code.co_name in ("_run", "trampoline"):
                     code = tb.tb_frame.f_locals.get("code")
                     if code is not None and " (in " not in exc.message:
                         exc.message = f"{exc.message} (in {code.name})"
@@ -139,6 +137,26 @@ class Machine:
                     break
                 tb = tb.tb_next
             raise
+
+    def _program(self) -> AotProgram:
+        """The trampoline's view of the compiled program: the same
+        descriptor an emitted module bakes, over ``CodeObject``s."""
+        config = self.config
+        cm = config.cost_model
+        regfile = self.regfile
+        return AotProgram(
+            entry=self.compiled.entry,
+            codes=tuple(self.compiled.codes),
+            nregs=len(regfile),
+            a0=regfile.arg_regs[0].index if regfile.num_arg_regs else None,
+            ret=regfile.ret.index,
+            cp=regfile.cp.index,
+            rv=regfile.rv.index,
+            call_overhead=cm.call_overhead,
+            predict=config.branch_prediction is not None,
+            penalty=cm.branch_mispredict_penalty,
+            kind_names=KIND_NAMES,
+        )
 
     def observe_metrics(self, registry) -> None:
         """Fold this run's counters into a metrics registry: run totals
@@ -195,7 +213,6 @@ class Machine:
         instrs = code.instructions
         pc = 0
         sp = 0
-        self._ensure = None  # appease linters; capacity handled inline
         classifier.on_call(code)
         if prof is not None:
             prof.start(code)
@@ -516,308 +533,6 @@ class Machine:
             else:  # pragma: no cover - closed opcode set
                 raise VMError(f"unknown opcode {op}")
 
-        counters.instructions = executed
-        counters.cycles = cycle
-        self.stack_capacity = len(stack)
-        self.stack_shrinks = shrinks
-        if prof is not None:
-            prof.finish(cycle, executed)
-        return self.result
-
-    # ------------------------------------------------------------------
-
-    def _run_fast(self) -> Any:
-        """The trace-compiled fast loop (``repro.vm.blockcompile``).
-
-        Same observable semantics as :meth:`_run`: one indexed fetch
-        and one generated-function call per trace, with every control
-        transfer handled here exactly as the legacy loop does.  See
-        the blockcompile module docstring for what makes it fast.
-        """
-        cm = self.config.cost_model
-        call_overhead = cm.call_overhead
-        predict = self.config.branch_prediction is not None
-        penalty = cm.branch_mispredict_penalty
-        counters = self.counters
-        classifier = self.classifier
-        prof = self.profiler
-        port = self.port
-        nregs = len(self.regfile)
-        num_arg_regs = self.regfile.num_arg_regs
-        a0 = self.regfile.arg_regs[0].index if num_arg_regs else None
-        RET = self.regfile.ret.index
-        CP = self.regfile.cp.index
-        RV = self.regfile.rv.index
-        ARG_WRITE_SLOT = ACC_WRITES + KIND_INDEX["arg"]
-        shrink_trigger = STACK_SHRINK_TRIGGER
-        min_capacity = STACK_MIN_CAPACITY
-        headroom = STACK_HEADROOM
-
-        regs: List[Any] = [None] * nregs
-        ready = [0] * nregs
-        stack: List[Any] = [None] * 256
-        cycle = 0
-        executed = 0
-        shrinks = 0
-        budget = self.max_instructions
-        if budget is None:
-            budget = 1 << 62
-
-        # Counter accumulators, one slot per blockcompile ACC_* index.
-        # Exits carry static (slot, delta) pairs; flush_counters
-        # empties the array into `counters` exactly where the profiler
-        # (or the caller) can observe them, so conservation holds.
-        acc = [0] * ACC_SIZE
-
-        def flush_counters() -> None:
-            if acc[0]:
-                counters.prim_calls += acc[0]
-                acc[0] = 0
-            if acc[1]:
-                counters.moves += acc[1]
-                acc[1] = 0
-            if acc[2]:
-                counters.branches += acc[2]
-                acc[2] = 0
-            if acc[3]:
-                counters.mispredicts += acc[3]
-                acc[3] = 0
-            if acc[4]:
-                counters.calls += acc[4]
-                acc[4] = 0
-            if acc[5]:
-                counters.tail_calls += acc[5]
-                acc[5] = 0
-            if acc[6]:
-                counters.closure_allocs += acc[6]
-                acc[6] = 0
-            if acc[7]:
-                counters.continuations_captured += acc[7]
-                acc[7] = 0
-            if acc[8]:
-                counters.continuations_invoked += acc[8]
-                acc[8] = 0
-            if acc[ACC_SWAP]:
-                counters.swaps += acc[ACC_SWAP]
-                acc[ACC_SWAP] = 0
-            reads = counters.stack_reads
-            for i in range(5):
-                n = acc[ACC_READS + i]
-                if n:
-                    kind = KIND_NAMES[i]
-                    reads[kind] = reads.get(kind, 0) + n
-                    acc[ACC_READS + i] = 0
-            writes = counters.stack_writes
-            for i in range(5):
-                n = acc[ACC_WRITES + i]
-                if n:
-                    kind = KIND_NAMES[i]
-                    writes[kind] = writes.get(kind, 0) + n
-                    acc[ACC_WRITES + i] = 0
-
-        code = self.compiled.entry
-        frame_size = code.frame_size
-        blocks = code.fast_blocks
-        if blocks is None:
-            blocks = compile_blocks(code, cm, CP)
-        pc = 0
-        sp = 0
-        classifier.on_call(code)
-        if prof is not None:
-            prof.start(code)
-
-        limit = frame_size + 64
-        if limit >= len(stack):
-            stack.extend([None] * (limit - len(stack) + 256))
-
-        while True:
-            fn, exits = blocks[pc]
-            cycle, ex = fn(regs, ready, stack, sp, cycle, port)
-            kind, barg, nexec, counts, taken = exits[ex]
-            executed += nexec
-            if executed > budget:
-                raise VMError("instruction budget exceeded")
-            if counts:
-                for slot, delta in counts:
-                    acc[slot] += delta
-            if taken:
-                if predict:
-                    # Static prediction: fall-through (not-taken) is
-                    # the predicted path; the allocator lays the likely
-                    # (call-free) branch on the fall-through.
-                    acc[3] += 1
-                    cycle += penalty
-
-            if kind == K_FALL:
-                pc = barg
-            elif kind == K_CALL:
-                cycle += call_overhead
-                callee = regs[CP]
-                if type(callee) is VMClosure:
-                    target = callee.code
-                    if len(target.params) != barg[0]:
-                        raise SchemeError(
-                            f"{target.name}: expected {len(target.params)} "
-                            f"argument(s), got {barg[0]}"
-                        )
-                    regs[RET] = (code, barg[1])
-                    new_sp = sp + frame_size
-                    limit = new_sp + target.frame_size + 64
-                    if limit >= len(stack):
-                        stack.extend([None] * (limit - len(stack) + 256))
-                    sp = new_sp
-                    classifier.on_call(target)
-                    if prof is not None:
-                        flush_counters()
-                        prof.switch(target, cycle, executed)
-                    code = target
-                    frame_size = target.frame_size
-                    blocks = target.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(target, cm, CP)
-                    pc = 0
-                elif type(callee) is VMContinuation:
-                    if barg[0] != 1:
-                        raise SchemeError("continuation expects exactly 1 value")
-                    if a0 is not None:
-                        value = regs[a0]
-                    else:
-                        value = stack[sp + frame_size]
-                    acc[8] += 1
-                    classifier.unwind_to(callee.class_depth)
-                    stack = list(callee.snapshot)
-                    stack.extend([None] * 320)
-                    sp = callee.sp
-                    regs[RV] = value
-                    ready[RV] = cycle
-                    if prof is not None:
-                        flush_counters()
-                        prof.resume(callee.code, cycle, executed)
-                    code = callee.code
-                    frame_size = code.frame_size
-                    blocks = code.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(code, cm, CP)
-                    pc = callee.pc
-                else:
-                    raise SchemeError("attempt to apply a non-procedure", callee)
-            elif kind == K_RET:
-                addr = regs[RET]
-                if addr is None:
-                    self.result = regs[RV]
-                    classifier.finish()
-                    break
-                ret_code, ret_pc = addr
-                old_sp = sp
-                sp -= ret_code.frame_size
-                if len(stack) > shrink_trigger and old_sp < len(stack) >> 2:
-                    # Low-water mark: the live prefix ends at old_sp
-                    # (the returning frame's base); everything above is
-                    # dead, so release the oversized tail.
-                    new_len = old_sp + headroom
-                    if new_len < min_capacity:
-                        new_len = min_capacity
-                    del stack[new_len:]
-                    shrinks += 1
-                classifier.on_return()
-                if prof is not None:
-                    flush_counters()
-                    prof.resume(ret_code, cycle, executed)
-                code = ret_code
-                frame_size = ret_code.frame_size
-                blocks = ret_code.fast_blocks
-                if blocks is None:
-                    blocks = compile_blocks(ret_code, cm, CP)
-                pc = ret_pc
-            elif kind == K_TAIL:
-                cycle += call_overhead
-                callee = regs[CP]
-                if type(callee) is VMClosure:
-                    target = callee.code
-                    if len(target.params) != barg:
-                        raise SchemeError(
-                            f"{target.name}: expected {len(target.params)} "
-                            f"argument(s), got {barg}"
-                        )
-                    limit = sp + target.frame_size + 64
-                    if limit >= len(stack):
-                        stack.extend([None] * (limit - len(stack) + 256))
-                    classifier.on_tail_call(target)
-                    if prof is not None:
-                        flush_counters()
-                        prof.switch(target, cycle, executed)
-                    code = target
-                    frame_size = target.frame_size
-                    blocks = target.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(target, cm, CP)
-                    pc = 0
-                elif type(callee) is VMContinuation:
-                    if barg != 1:
-                        raise SchemeError("continuation expects exactly 1 value")
-                    if a0 is not None:
-                        value = regs[a0]
-                    else:
-                        value = stack[sp]
-                    acc[8] += 1
-                    classifier.unwind_to(callee.class_depth)
-                    stack = list(callee.snapshot)
-                    stack.extend([None] * 320)
-                    sp = callee.sp
-                    regs[RV] = value
-                    ready[RV] = cycle
-                    if prof is not None:
-                        flush_counters()
-                        prof.resume(callee.code, cycle, executed)
-                    code = callee.code
-                    frame_size = code.frame_size
-                    blocks = code.fast_blocks
-                    if blocks is None:
-                        blocks = compile_blocks(code, cm, CP)
-                    pc = callee.pc
-                else:
-                    raise SchemeError("attempt to apply a non-procedure", callee)
-            elif kind == K_CALLCC:
-                cycle += call_overhead
-                callee = regs[CP]
-                if not (type(callee) is VMClosure):
-                    raise SchemeError("call/cc: not a procedure", callee)
-                target = callee.code
-                if len(target.params) != 1:
-                    raise SchemeError(
-                        f"call/cc receiver {target.name} must take 1 argument"
-                    )
-                new_sp = sp + frame_size
-                k = VMContinuation(
-                    stack[:new_sp], sp, code, barg, len(classifier.stack)
-                )
-                regs[RET] = (code, barg)
-                limit = new_sp + target.frame_size + 64
-                if limit >= len(stack):
-                    stack.extend([None] * (limit - len(stack) + 256))
-                if a0 is not None:
-                    regs[a0] = k
-                    ready[a0] = cycle
-                else:
-                    stack[new_sp] = k
-                    acc[ARG_WRITE_SLOT] += 1
-                sp = new_sp
-                classifier.on_call(target)
-                if prof is not None:
-                    flush_counters()
-                    prof.switch(target, cycle, executed)
-                code = target
-                frame_size = target.frame_size
-                blocks = target.fast_blocks
-                if blocks is None:
-                    blocks = compile_blocks(target, cm, CP)
-                pc = 0
-            else:  # K_HALT
-                self.result = regs[RV]
-                classifier.finish()
-                break
-
-        flush_counters()
         counters.instructions = executed
         counters.cycles = cycle
         self.stack_capacity = len(stack)

@@ -13,8 +13,8 @@ This module converts each :class:`~repro.astnodes.CodeObject`'s
 instruction list once, at first execution, into a flat tuple stream.
 It is the front half of the fast path: ``repro.vm.blockcompile``
 consumes the decoded stream and compiles each extended basic block
-into one generated Python function, which ``Machine._run_fast``
-trampolines between.  The decoded form is what makes that codegen
+into one generated Python function, which the shared trace trampoline
+(``repro.vm.aotrt.trampoline``) runs.  The decoded form is what makes that codegen
 simple:
 
 * opcodes become small ints (the ``OP_*`` constants below), so the
@@ -50,8 +50,8 @@ from repro.backend.peephole import fuse_superinstructions
 from repro.runtime.primitives import PRIMITIVES
 
 # Fast-path opcodes.  Values are arbitrary but stable within a process;
-# the dispatch chain in Machine._run_fast orders comparisons by dynamic
-# frequency, not by value.
+# they are only switched on at build time (trace compilation, call-graph
+# analysis), so their order carries no run-time cost.
 OP_LD = 0
 OP_ST = 1
 OP_MOV = 2

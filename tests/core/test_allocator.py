@@ -3,7 +3,7 @@
 
 from repro.astnodes import Call, If, walk
 from repro.config import CompilerConfig
-from repro.core.allocator import allocate_program
+from repro.alloc import allocate_program
 from repro.frontend.analyze import check_scopes, mark_tail_calls
 from repro.frontend.assignconvert import assignment_convert
 from repro.frontend.closure import closure_convert

@@ -18,7 +18,6 @@ import sys
 import pytest
 
 import repro.vm.aotrt as aotrt
-import repro.vm.blockcompile as blockcompile
 from repro.benchsuite.programs import BENCHMARKS
 from repro.config import CompilerConfig
 from repro.errors import CompilerError
@@ -28,7 +27,6 @@ from repro.runtime.values import SchemeError
 from repro.sexp.writer import write_datum
 from repro.vm.machine import VMError
 from repro.vm.aotemit import EmitInfo, emit_module, emit_module_info
-from repro.vm.predecode import KIND_NAMES
 
 BENCH_NAMES = sorted(n for n, b in BENCHMARKS.items() if not b.heavy)
 
@@ -68,12 +66,34 @@ def assert_aot_equivalent(compiled, tmp_path, name):
     assert result.output == reference.output
     assert result.counters.as_dict() == reference.counters.as_dict()
     assert result.classifier.counts == reference.classifier.counts
+    assert result.stack_capacity == reference.machine.stack_capacity
+    assert result.stack_shrinks == reference.machine.stack_shrinks
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
 def test_benchmark_aot_equivalence(name, tmp_path):
     compiled = compile_source(BENCHMARKS[name].source)
     assert_aot_equivalent(compiled, tmp_path, name.replace("-", "_"))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CompilerConfig(num_arg_regs=0, num_temp_regs=0),
+        CompilerConfig(num_arg_regs=1, num_temp_regs=2),
+        CompilerConfig(save_convention="callee"),
+        CompilerConfig(branch_prediction="static-calls"),
+    ],
+    ids=["r0", "r2", "callee-save", "predict"],
+)
+@pytest.mark.parametrize("name", ["tak", "ctak", "destruct", "fxtriang"])
+def test_benchmark_aot_equivalence_config_spread(name, config, tmp_path):
+    """The ``test_predecode_equiv`` config spread through emitted
+    modules: register-starved (continuations with no argument
+    register), tiny, callee-save, and predicted configurations, over
+    programs that include ``call/cc`` (ctak)."""
+    compiled = compile_source(BENCHMARKS[name].source, config)
+    assert_aot_equivalent(compiled, tmp_path, name)
 
 
 @pytest.mark.parametrize("index", range(FUZZ_COUNT))
@@ -145,19 +165,3 @@ def test_emitted_module_runs_without_compiler(tmp_path):
         hits = [m for m in loaded if m == banned or m.startswith(banned + ".")]
         assert not hits, f"compiler module leaked into the AOT runtime: {hits}"
 
-
-def test_runtime_constants_stay_in_sync():
-    """``aotrt`` duplicates the trace-protocol constants so emitted
-    modules never import the compiler; this pins the two copies (and
-    the kind-name table the counters use) together."""
-    for name in (
-        "K_FALL", "K_CALL", "K_TAIL", "K_CALLCC", "K_RET", "K_HALT",
-        "ACC_PRIM", "ACC_MOV", "ACC_BRANCH", "ACC_MISS", "ACC_CALL",
-        "ACC_TAIL", "ACC_CLO", "ACC_CC_CAP", "ACC_CC_INV",
-        "ACC_READS", "ACC_WRITES", "ACC_SWAP", "ACC_SIZE",
-    ):
-        assert getattr(aotrt, name) == getattr(blockcompile, name), name
-    # The direct kinds exist only on the AOT side, above the shared ones.
-    assert aotrt.K_CALL_DIRECT == aotrt.K_HALT + 1
-    assert aotrt.K_TAIL_DIRECT == aotrt.K_HALT + 2
-    assert tuple(KIND_NAMES) == ("save", "restore", "spill", "arg", "temp")

@@ -5,7 +5,7 @@ import pytest
 from repro.astnodes import CodeObject, Program, Quote
 from repro.backend.codegen import CompiledProgram
 from repro.config import CompilerConfig, CostModel
-from repro.core.allocator import ProgramAllocation
+from repro.alloc import ProgramAllocation
 from repro.core.registers import RegisterFile
 from repro.runtime.values import SchemeError
 from repro.vm.machine import Machine, VMError
@@ -126,6 +126,17 @@ class TestPrimAndBranches:
     def test_prim_error_annotated_with_procedure(self):
         with pytest.raises(SchemeError, match=r"\(in main\)"):
             run([("prim", RV, "car", [("imm", 5)]), ("return",)])
+
+    @pytest.mark.parametrize("vm_fast", [True, False], ids=["fast", "legacy"])
+    def test_callee_prim_error_annotated_with_callee(self, vm_fast):
+        callee = CodeObject("callee", [], [], Quote(False))
+        callee.instructions = [("prim", RV, "car", [("imm", 5)]), ("return",)]
+        compiled = build(
+            [("clo_alloc", CP, callee, 0), ("call", 0), ("return",)],
+            extra_codes=[callee],
+        )
+        with pytest.raises(SchemeError, match=r"\(in callee\)"):
+            Machine(compiled, vm_fast=vm_fast).run()
 
 
 class TestCallsAtIsaLevel:
